@@ -20,7 +20,7 @@ the ensemble-wide distribution).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class CmatPropagator:
             raise InputError(f"dt must be > 0, got {dt}")
         self.operator = operator
         self.dt = float(dt)
+        #: read-only inverses keyed by ``(nu, n_mode)``; see :meth:`build`
+        self._memo: Dict[Tuple[float, int], np.ndarray] = {}
 
     @property
     def dims(self) -> GridDims:
@@ -68,31 +70,57 @@ class CmatPropagator:
         """Propagator blocks for the given (ic, n) index sets.
 
         Returns ``A`` of shape ``(len(ic_indices), len(n_indices), nv,
-        nv)`` with ``A[i, j] = (I - dt * C(ic_i, n_j))^{-1}``.
+        nv)`` with ``A[i, j] = (I - dt * nu(ic_i) * C_{n_j})^{-1}``.
 
         The collisionality profile enters only as a scalar per ic, so
-        one matrix inversion per (profile value, mode) would suffice;
-        we invert per pair for clarity — construction happens once per
-        simulation and its cost is itself a benchmark
-        (``bench_cmat_tradeoff``).
+        the block of a pair depends on ``(nu(ic), n)`` alone.  Per mode,
+        the systems of the not-yet-seen distinct ``nu`` values (exact
+        float bits, never a tolerance) are inverted in one stacked
+        ``np.linalg.inv`` call; LAPACK factors each matrix of the stack
+        on its own, so every block is bit-identical to a per-pair
+        inverse.  The inverses are kept in a per-instance memo, so the
+        many shard calls of one propagator (a shared-cmat ``finalize``,
+        SDC repairs, recovery adoption) invert each ``(nu, n)`` once.
+        ``nu`` depends on theta only, so the memo holds at most
+        ``n_theta * nt`` blocks and lives as long as the propagator.
+
+        The returned array is freshly allocated and owns its data: no
+        block shares memory with the memo or with another result.
         """
         dims = self.dims
         ic_indices = list(ic_indices)
         n_indices = list(n_indices)
-        nv = dims.nv
-        eye = np.eye(nv)
+        for ic in ic_indices:
+            if not 0 <= ic < dims.nc:
+                raise InputError(f"ic {ic} out of range [0, {dims.nc})")
         profile = self.operator.nu_profile()
+        nus = [float(profile[ic]) for ic in ic_indices]
+        nv = dims.nv
         out = np.empty((len(ic_indices), len(n_indices), nv, nv))
         for j, n_mode in enumerate(n_indices):
-            c_n = self.operator.mode_matrix(n_mode)
-            for i, ic in enumerate(ic_indices):
-                if not 0 <= ic < dims.nc:
-                    raise InputError(f"ic {ic} out of range [0, {dims.nc})")
-                out[i, j] = np.linalg.inv(eye - self.dt * profile[ic] * c_n)
+            missing = [
+                nu for nu in dict.fromkeys(nus) if (nu, n_mode) not in self._memo
+            ]
+            if missing:
+                c_n = self.operator.mode_matrix(n_mode)
+                eye = np.eye(nv)
+                inverses = np.linalg.inv(
+                    np.stack([eye - self.dt * nu * c_n for nu in missing])
+                )
+                inverses.setflags(write=False)
+                for nu, inv in zip(missing, inverses):
+                    self._memo[(nu, n_mode)] = inv
+            for i, nu in enumerate(nus):
+                out[i, j] = self._memo[(nu, n_mode)]
         return out
 
     def build_flops(self, n_ic: int, n_modes: int) -> float:
-        """Estimated flops to build a block (one LU-grade inverse/pair)."""
+        """Estimated flops to build a block (one LU-grade inverse/pair).
+
+        This is the *modelled* CGYRO cost charged to simulated clocks —
+        one inverse per (ic, n) pair — not the host's work, which
+        :meth:`build` reduces to one inverse per distinct (nu, n).
+        """
         return float(n_ic) * float(n_modes) * (2.0 / 3.0 + 2.0) * self.dims.nv**3
 
 

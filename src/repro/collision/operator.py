@@ -23,7 +23,7 @@ across ensemble members.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -78,12 +78,14 @@ class CollisionOperator:
     def base_matrix(self) -> np.ndarray:
         """Species-block-diagonal operator with conservation applied.
 
-        Cached: the base matrix is independent of ``ic`` and ``n``.
+        Returns a writable copy of :attr:`_base_matrix`.
         """
-        return self._base_matrix_cached().copy()
+        return self._base_matrix.copy()
 
-    @lru_cache(maxsize=1)
-    def _base_matrix_cached(self) -> np.ndarray:
+    @cached_property
+    def _base_matrix(self) -> np.ndarray:
+        """Read-only base matrix, assembled once per operator instance
+        (it is independent of ``ic`` and ``n``) and freed with it."""
         nv = self.dims.nv
         block = self.dims.n_energy * self.dims.n_xi
         c0 = np.zeros((nv, nv))

@@ -277,10 +277,14 @@ class SharedCmatScheme(CollisionScheme):
     # ------------------------------------------------------------------
     @staticmethod
     def _checksum(arr: np.ndarray) -> str:
-        """Content hash of one shard's propagator blocks."""
+        """Content hash of one shard's propagator blocks.
+
+        Hashes the contiguous buffer in place (no ``tobytes`` copy); the
+        digest equals ``sha256(arr.tobytes())``.
+        """
         import hashlib
 
-        return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+        return hashlib.sha256(np.ascontiguousarray(arr).data).hexdigest()
 
     def shard_nbytes(self, world_rank: int) -> int:
         """Bytes held by ``world_rank``'s shard (0 if it owns none)."""
@@ -313,8 +317,10 @@ class SharedCmatScheme(CollisionScheme):
         The constant tensor is a pure function of the shared inputs, so
         a corrupted shard needs no peer data to heal — just the same
         per-block inversions :meth:`finalize` did, charged to the
-        owner's clock under ``category``.  Returns the number of
-        (ic, n) blocks rebuilt.
+        owner's clock under ``category``.  (On the host the blocks are
+        copied from the propagator's read-only memo, which a shard
+        corruption cannot reach.)  Returns the number of (ic, n) blocks
+        rebuilt.
         """
         shard = self.shard_of(world_rank)
         if shard is None or self._prop is None:
