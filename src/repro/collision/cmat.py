@@ -138,16 +138,54 @@ def apply_propagator(cmat_block: np.ndarray, h_block: np.ndarray) -> np.ndarray:
     Returns
     -------
     Updated block of the same shape as ``h_block``.
+
+    This is :func:`propagator_operand` followed by
+    :func:`apply_operand`.  The operand is the one numpy's
+    ``einsum("ctvw,cwt->cvt", optimize=True)`` builds internally (the
+    transposed blocks cast to complex128), and the apply is the batched
+    matmul that einsum dispatches to, so the result has the same bits
+    as that einsum.  Every (ic, mode) row is computed on its own, by
+    one vector-matrix product against its own block: a row's bits do
+    not depend on which other rows, members or chunks share the call.
+    That is why a shared-cmat ensemble stays bit-identical to its
+    members run one at a time.  A caller applying one block to several
+    field blocks (the k members of an XGYRO ensemble) builds the
+    operand once and calls :func:`apply_operand` per field block.
     """
-    n_ic, n_modes, nv, nv2 = cmat_block.shape
+    return apply_operand(propagator_operand(cmat_block), h_block)
+
+
+def propagator_operand(cmat_block: np.ndarray) -> np.ndarray:
+    """The complex operand :func:`apply_operand` multiplies by.
+
+    Shape ``(n_ic, n_modes, nv, nv)``, complex128, C-contiguous, with
+    ``operand[c, t] = cmat_block[c, t].T``.  It is transient: build it
+    per apply (it is twice the size of the real block it comes from)
+    rather than keeping it beside the shared tensor.
+    """
+    return np.ascontiguousarray(np.swapaxes(cmat_block, 2, 3), dtype=np.complex128)
+
+
+def apply_operand(operand: np.ndarray, h_block: np.ndarray) -> np.ndarray:
+    """Apply a :func:`propagator_operand` to a COLL-layout field block.
+
+    ``h_block`` has shape ``(n_ic, nv, n_modes)``; the result has the
+    same shape.  See :func:`apply_propagator` for why the bits match
+    the per-row contraction.
+    """
+    n_ic, n_modes, nv, nv2 = operand.shape
     if nv != nv2:
-        raise InputError(f"cmat blocks must be square, got {cmat_block.shape}")
+        raise InputError(
+            f"cmat blocks must be square, got operand shape {operand.shape}"
+        )
     if h_block.shape != (n_ic, nv, n_modes):
         raise InputError(
             f"h block shape {h_block.shape} incompatible with cmat "
-            f"{cmat_block.shape}; expected ({n_ic}, {nv}, {n_modes})"
+            f"{operand.shape}; expected ({n_ic}, {nv}, {n_modes})"
         )
-    return np.einsum("ctvw,cwt->cvt", cmat_block, h_block, optimize=True)
+    rows = h_block.transpose(0, 2, 1).reshape(n_ic * n_modes, 1, nv)
+    out = np.matmul(rows, operand.reshape(n_ic * n_modes, nv, nv))
+    return out.reshape(n_ic, n_modes, nv).transpose(0, 2, 1)
 
 
 def apply_flops(n_ic: int, n_modes: int, nv: int) -> float:

@@ -51,14 +51,24 @@ from repro.cgyro.collision_scheme import CollisionScheme
 from repro.collision.cmat import (
     CmatPropagator,
     apply_flops,
-    apply_propagator,
+    apply_operand,
     cmat_block_bytes,
+    propagator_operand,
 )
 from repro.vmpi.communicator import Communicator
 from repro.xgyro.partition import ensemble_coll_ranks, ensemble_nc_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cgyro.solver import CgyroSimulation
+
+
+def ic_index(ics: Sequence[int]) -> Union[slice, List[int]]:
+    """Fastest NumPy index selecting the sorted global rows ``ics``: a
+    slice when they are one contiguous run (keeps views on the send
+    path), else the explicit list."""
+    if ics and ics[-1] - ics[0] + 1 == len(ics):
+        return slice(ics[0], ics[-1] + 1)
+    return list(ics)
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,8 @@ class CollShard:
         return len(self.ic_indices)
 
     def index(self) -> Union[slice, List[int]]:
-        """Fastest NumPy index selecting the owned rows: a slice when
-        the indices are one contiguous run (keeps views on the send
-        path), else the explicit list."""
-        ics = self.ic_indices
-        if ics and ics[-1] - ics[0] + 1 == len(ics):
-            return slice(ics[0], ics[-1] + 1)
-        return list(ics)
+        """NumPy index selecting the owned rows (see :func:`ic_index`)."""
+        return ic_index(self.ic_indices)
 
 
 class SharedCmatScheme(CollisionScheme):
@@ -392,15 +397,17 @@ class SharedCmatScheme(CollisionScheme):
                     send[r] = [m.h[r][idx, :, :] for idx in indexers]
             with world.phase("coll_comm"):
                 recv = comm.alltoall(send)
-            # reassemble per member, apply the shared propagator
+            # reassemble per member, apply the shared propagator through
+            # one operand per rank that serves all k members
             for r in comm.ranks:
                 blocks = recv[r]
+                operand = propagator_operand(self._cmat[r])
                 for mi in range(k):
                     lo = mi * decomp.n_proc_1
                     member_block = np.concatenate(
                         blocks[lo : lo + decomp.n_proc_1], axis=1
                     )
-                    blocks[lo] = apply_propagator(self._cmat[r], member_block)
+                    blocks[lo] = apply_operand(operand, member_block)
                 # keep only one assembled block per member; split back below
             world.charge_compute(
                 comm.ranks,
@@ -460,11 +467,6 @@ class SharedCmatScheme(CollisionScheme):
         P1 = decomp.n_proc_1
         nt_loc = decomp.nt_loc
 
-        def sub_index(ics: Tuple[int, ...]) -> Union[slice, List[int]]:
-            if ics and ics[-1] - ics[0] + 1 == len(ics):
-                return slice(ics[0], ics[-1] + 1)
-            return list(ics)
-
         for i2, comm in self._coll_comm.items():
             shards = self._shards[i2]
             T = min(4, min(s.n_ic for s in shards))
@@ -476,7 +478,7 @@ class SharedCmatScheme(CollisionScheme):
             ]
             chunk_idx = [
                 [
-                    sub_index(s.ic_indices[o0:o1])
+                    ic_index(s.ic_indices[o0:o1])
                     for s, (o0, o1) in zip(shards, bounds[t])
                 ]
                 for t in range(T)
@@ -503,17 +505,14 @@ class SharedCmatScheme(CollisionScheme):
                 for j, r in enumerate(comm.ranks):
                     o0, o1 = bounds[t][j]
                     blocks = recv[r]
+                    operand = propagator_operand(self._cmat[r][o0:o1])
                     per_member: List[np.ndarray] = []
                     for mi in range(k):
                         lo = mi * P1
                         member_block = np.concatenate(
                             blocks[lo : lo + P1], axis=1
                         )
-                        per_member.append(
-                            apply_propagator(
-                                self._cmat[r][o0:o1], member_block
-                            )
-                        )
+                        per_member.append(apply_operand(operand, member_block))
                     applied_t[r] = per_member
                 world.charge_compute(
                     comm.ranks,
